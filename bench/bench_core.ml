@@ -9,19 +9,12 @@
 
    Two kinds of families are measured:
 
-   Three kinds of families are measured:
-
    - paper-sized families ("single_issue", ...): the packed fast path vs
      the [~reference:true] original, over the default Livermore workloads;
    - scaled families ("single_issue/scaled", ...): one ~10^6-instruction
      scaled Livermore loop, steady-state acceleration (Mfu_sim.Steady,
      the default) vs the same packed path with [~accel:false]. Here the
-     speedup column is the telescoping gain, expected in the hundreds;
-   - batched families ("single_issue/batched", ...): one config-batched
-     lane simulation (Mfu_sim.Batched, 8 configuration lanes over a
-     single trace walk) vs the same 8 configurations run as independent
-     scalar [simulate] calls. The speedup column is the batching gain
-     on a Table 7-scale workload.
+     speedup column is the telescoping gain, expected in the hundreds.
 
    Usage:
      bench_core.exe [--json FILE] [--check BASELINE] [--tolerance PCT]
@@ -162,144 +155,7 @@ let scaled_families =
     };
   ]
 
-(* Batched families: the same 8 configurations simulated either as one
-   {!Mfu_sim.Batched} lane batch (one trace walk) or as 8 independent
-   scalar [simulate] calls. Both sides run the packed fast path with
-   acceleration off — as in the scaled families, holding everything else
-   fixed isolates one effect, here the batching gain — over one large
-   scaled Livermore loop, the Table 7-scale regime where a sweep spends
-   its time. Cycle totals are bit-identical on both sides (the Batched
-   differential suite enforces this), so cycles/pass is well defined. *)
-module Batched = Mfu_sim.Batched
-
-let cross xs ys f = List.concat_map (fun x -> List.map (f x) ys) xs
-
-let single_batch_lanes =
-  Array.of_list
-    (cross
-       [ Config.m11br5; Config.m5br2 ]
-       Single_issue.all_organizations
-       (fun config org -> (config, org)))
-
-let dep_batch_lanes =
-  Array.of_list
-    (cross Config.all
-       [ Dep_single.Scoreboard; Dep_single.Tomasulo ]
-       (fun config scheme -> (config, scheme)))
-
-let buffer_batch_lanes =
-  Array.of_list
-    (cross [ 1; 2; 4; 8 ]
-       [ Buffer_issue.In_order; Buffer_issue.Out_of_order ]
-       (fun stations policy ->
-         {
-           Batched.b_config = config;
-           b_policy = policy;
-           b_alignment = Buffer_issue.Dynamic;
-           b_stations = stations;
-           b_bus = Sim_types.N_bus;
-         }))
-
-let ruu_batch_lanes =
-  Array.of_list
-    (cross [ 1; 2; 3; 4 ] [ 10; 50 ] (fun issue_units ruu_size ->
-         {
-           Batched.r_config = config;
-           r_branches = Mfu_sim.Ruu.Stall;
-           r_issue_units = issue_units;
-           r_ruu_size = ruu_size;
-           r_bus = Sim_types.N_bus;
-         }))
-
-let limits_batch_configs = Array.of_list (Config.all @ Config.all)
-
-let sum_cycles results =
-  Array.fold_left
-    (fun acc (r : Sim_types.result) -> acc + r.Sim_types.cycles)
-    0 results
-
-let batched_families =
-  [
-    {
-      fname = "single_issue/batched";
-      workload = scaled_workload ~loop:11 ~scale:250;
-      run =
-        (fun ~reference t ->
-          if reference then
-            Array.fold_left
-              (fun acc (config, org) ->
-                acc + (Single_issue.simulate ~accel:false ~config org t).cycles)
-              0 single_batch_lanes
-          else
-            sum_cycles
-              (Batched.single ~accel:false ~lanes:single_batch_lanes t));
-    };
-    {
-      fname = "dep_single/batched";
-      workload = scaled_workload ~loop:12 ~scale:250;
-      run =
-        (fun ~reference t ->
-          if reference then
-            Array.fold_left
-              (fun acc (config, scheme) ->
-                acc
-                + (Dep_single.simulate ~accel:false ~config scheme t).cycles)
-              0 dep_batch_lanes
-          else sum_cycles (Batched.dep ~accel:false ~lanes:dep_batch_lanes t));
-    };
-    {
-      fname = "buffer_issue/batched";
-      workload = scaled_workload ~loop:11 ~scale:250;
-      run =
-        (fun ~reference t ->
-          if reference then
-            Array.fold_left
-              (fun acc ln ->
-                acc
-                + (Buffer_issue.simulate ~accel:false
-                     ~config:ln.Batched.b_config ~policy:ln.Batched.b_policy
-                     ~stations:ln.Batched.b_stations ~bus:ln.Batched.b_bus t)
-                    .cycles)
-              0 buffer_batch_lanes
-          else
-            sum_cycles
-              (Batched.buffer ~accel:false ~lanes:buffer_batch_lanes t));
-    };
-    {
-      fname = "ruu/batched";
-      workload = scaled_workload ~loop:11 ~scale:250;
-      run =
-        (fun ~reference t ->
-          if reference then
-            Array.fold_left
-              (fun acc ln ->
-                acc
-                + (Ruu.simulate ~accel:false ~branches:ln.Batched.r_branches
-                     ~config:ln.Batched.r_config
-                     ~issue_units:ln.Batched.r_issue_units
-                     ~ruu_size:ln.Batched.r_ruu_size ~bus:ln.Batched.r_bus t)
-                    .cycles)
-              0 ruu_batch_lanes
-          else sum_cycles (Batched.ruu ~accel:false ~lanes:ruu_batch_lanes t));
-    };
-    {
-      fname = "limits/batched";
-      workload = scaled_workload ~loop:3 ~scale:260;
-      run =
-        (fun ~reference t ->
-          if reference then
-            Array.fold_left
-              (fun acc config ->
-                acc + Limits.critical_path ~accel:false ~config t)
-              0 limits_batch_configs
-          else
-            Array.fold_left ( + ) 0
-              (Limits.critical_path_batch ~accel:false
-                 ~configs:limits_batch_configs t));
-    };
-  ]
-
-let all_families = families @ scaled_families @ batched_families
+let all_families = families @ scaled_families
 
 (* One pass over the workload; returns total simulated cycles. *)
 let one_pass f ~reference traces =
@@ -424,25 +280,10 @@ let load_baseline file =
    accelerated pass takes a fraction of a millisecond, so its cycles/sec
    swings 2-3x with allocator and GC state, while the speedup collapses
    to ~1x the moment telescoping stops engaging — which is what the gate
-   is there to catch. Batched families are gated on speedup too, but
-   their expected value is parity, not a large factor: every input a
-   batch could share (trace generation, packing, period detection) is
-   already memoized process-wide, so lane batching saves trace-traversal
-   overhead and cache refills, not simulation work (see DESIGN.md). The
-   measured ratio sits at 0.8-1.1x and swings with allocator state on
-   single-core CI boxes, so the floor is set below that band; it fails
-   only on a collapse — e.g. a walker change that reintroduces per-cycle
-   or per-entry scans over all lanes, making batches superlinearly
-   slower than independent runs. *)
+   is there to catch. *)
 let scaled_speedup_floor = 50.0
-let batched_speedup_floor = 0.35
 
-let has_suffix suffix name =
-  let ls = String.length suffix and ln = String.length name in
-  ln > ls && String.sub name (ln - ls) ls = suffix
-
-let is_scaled = has_suffix "/scaled"
-let is_batched = has_suffix "/batched"
+let is_scaled name = String.ends_with ~suffix:"/scaled" name
 
 let check ~tolerance ~baseline_file ~selected rows =
   let baseline =
@@ -462,13 +303,6 @@ let check ~tolerance ~baseline_file ~selected rows =
                    "%s: acceleration speedup %.1fx below the %.0fx floor"
                    name (speedup r) scaled_speedup_floor)
             else None
-        | Some r when is_batched name ->
-            if speedup r < batched_speedup_floor then
-              Some
-                (Printf.sprintf
-                   "%s: batching speedup %.2fx below the %.1fx floor" name
-                   (speedup r) batched_speedup_floor)
-            else None
         | Some r ->
             if r.packed_cps < (1.0 -. tolerance) *. base_cps then
               Some
@@ -486,13 +320,29 @@ let check ~tolerance ~baseline_file ~selected rows =
       List.iter (Printf.eprintf "check FAILED: %s\n") fs;
       exit 1
 
+let usage =
+  "Usage: bench_core.exe [--json FILE] [--check BASELINE] [--tolerance PCT]\n\
+  \                      [--min-time SECONDS] [--only FAMILY[,FAMILY...]]\n\
+   Families: "
+  ^ String.concat ", " (List.map (fun f -> f.fname) all_families)
+
+(* A bad command line is a usage error: one line on stderr, exit 2. *)
+let usage_error msg =
+  Printf.eprintf "bench_core.exe: %s (try --help)\n" msg;
+  exit 2
+
+let float_arg flag s =
+  match float_of_string_opt s with
+  | Some x -> x
+  | None -> usage_error (Printf.sprintf "%s: %S is not a number" flag s)
+
 let select_families spec =
   match
     Mfu_util.Selection.parse
       ~valid:(List.map (fun f -> f.fname) all_families)
       spec
   with
-  | Error e -> failwith ("--only: " ^ e)
+  | Error e -> usage_error ("--only: " ^ e)
   | Ok names ->
       List.map
         (fun name -> List.find (fun f -> f.fname = name) all_families)
@@ -505,6 +355,9 @@ let () =
   let min_time = ref 0.3 in
   let selected = ref all_families in
   let rec parse = function
+    | ("-h" | "--help") :: _ ->
+        print_endline usage;
+        exit 0
     | "--json" :: file :: rest ->
         json_file := Some file;
         parse rest
@@ -512,16 +365,19 @@ let () =
         check_file := Some file;
         parse rest
     | "--tolerance" :: pct :: rest ->
-        tolerance := float_of_string pct /. 100.0;
+        tolerance := float_arg "--tolerance" pct /. 100.0;
         parse rest
     | "--min-time" :: s :: rest ->
-        min_time := float_of_string s;
+        min_time := float_arg "--min-time" s;
         parse rest
     | "--only" :: spec :: rest ->
         selected := select_families spec;
         parse rest
     | [] -> ()
-    | arg :: _ -> failwith (Printf.sprintf "unknown argument %s" arg)
+    | [ ("--json" | "--check" | "--tolerance" | "--min-time" | "--only") as f ]
+      ->
+        usage_error (f ^ " needs a value")
+    | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   let rows = measure_all ~min_time:!min_time !selected in

@@ -151,6 +151,20 @@ let to_json r =
       ("speedup", Json.Float (speedup r));
     ]
 
+let usage =
+  "Usage: bench_store.exe [--points N] [--json FILE] [--check]\n\
+  \                       [--min-speedup X] [--min-time SECONDS]"
+
+(* A bad command line is a usage error: one line on stderr, exit 2. *)
+let usage_error msg =
+  Printf.eprintf "bench_store.exe: %s (try --help)\n" msg;
+  exit 2
+
+let number_arg of_string flag s =
+  match of_string s with
+  | Some x -> x
+  | None -> usage_error (Printf.sprintf "%s: %S is not a number" flag s)
+
 let () =
   let points = ref 2000 in
   let json_file = ref None in
@@ -158,8 +172,11 @@ let () =
   let min_speedup = ref 10.0 in
   let min_time = ref 0.3 in
   let rec parse = function
+    | ("-h" | "--help") :: _ ->
+        print_endline usage;
+        exit 0
     | "--points" :: n :: rest ->
-        points := int_of_string n;
+        points := number_arg int_of_string_opt "--points" n;
         parse rest
     | "--json" :: file :: rest ->
         json_file := Some file;
@@ -168,13 +185,15 @@ let () =
         check := true;
         parse rest
     | "--min-speedup" :: x :: rest ->
-        min_speedup := float_of_string x;
+        min_speedup := number_arg float_of_string_opt "--min-speedup" x;
         parse rest
     | "--min-time" :: s :: rest ->
-        min_time := float_of_string s;
+        min_time := number_arg float_of_string_opt "--min-time" s;
         parse rest
     | [] -> ()
-    | arg :: _ -> failwith (Printf.sprintf "unknown argument %s" arg)
+    | [ ("--points" | "--json" | "--min-speedup" | "--min-time") as f ] ->
+        usage_error (f ^ " needs a value")
+    | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   let r = run ~points:!points ~min_time:!min_time in

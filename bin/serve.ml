@@ -8,7 +8,7 @@ module Server = Mfu_serve.Server
 
 open Cmdliner
 
-let run listen store_dir jobs batch max_points no_lease lease_ttl
+let run listen store_dir jobs max_points no_lease lease_ttl
     request_timeout queue_capacity no_guided cache_entries =
   match Server.addr_of_string listen with
   | Error e -> `Error (false, e)
@@ -18,7 +18,6 @@ let run listen store_dir jobs batch max_points no_lease lease_ttl
         {
           cfg with
           jobs;
-          batch;
           max_points;
           lease = not no_lease;
           lease_ttl;
@@ -46,13 +45,6 @@ let store_dir =
 let jobs =
   let doc = "Worker domains for simulation (overrides MFU_JOBS)." in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let batch =
-  let doc =
-    "Lane width of config-batched simulation (results are bit-identical \
-     at any width)."
-  in
-  Arg.(value & opt int 8 & info [ "b"; "batch" ] ~docv:"N" ~doc)
 
 let max_points =
   let doc =
@@ -106,7 +98,7 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ listen $ store_dir $ jobs $ batch $ max_points
+        (const run $ listen $ store_dir $ jobs $ max_points
        $ no_lease $ lease_ttl $ request_timeout $ queue_capacity
        $ no_guided $ cache_entries))
 

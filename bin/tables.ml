@@ -139,9 +139,21 @@ let run table ablations compare csv metrics metrics_json model_error jobs scale
 
 open Cmdliner
 
+(* An integer in [lo, hi]: anything else is a usage error, caught while
+   parsing the command line rather than mid-run. *)
+let int_in ~lo ~hi what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let table =
   let doc = "Regenerate only paper table $(docv) (1..8); default: all." in
-  Arg.(value & opt (some int) None & info [ "t"; "table" ] ~docv:"N" ~doc)
+  let table_number = int_in ~lo:1 ~hi:8 "a paper table (1..8)" in
+  Arg.(
+    value & opt (some table_number) None & info [ "t"; "table" ] ~docv:"N" ~doc)
 
 let ablations =
   let doc = "Also run the extension ablations (A1-A3 in DESIGN.md)." in
@@ -198,7 +210,8 @@ let scale =
      $(docv) times longer. Large-N runs are telescoped exactly by the \
      steady-state fast-forward, so the tables stay fast."
   in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc)
+  let scale = int_in ~lo:1 ~hi:max_int "a scale (>= 1)" in
+  Arg.(value & opt scale 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let cmd =
   let doc = "regenerate the tables of Pleszkun & Sohi 1988" in
@@ -208,4 +221,7 @@ let cmd =
       const run $ table $ ablations $ compare $ csv $ metrics $ metrics_json
       $ model_error $ jobs $ scale)
 
-let () = exit (Cmd.eval cmd)
+(* Usage errors exit 2 (cmdliner's own code for them is 124). *)
+let () =
+  let code = Cmd.eval cmd in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -47,7 +47,7 @@ let config_to_key (c : Config.t) =
 
 (* Trace digests are memoized per (loop number, scale). The table is
    guarded by a mutex because the serve daemon keys points from
-   concurrent client threads; the lock is uncontended in the batch
+   concurrent client threads; the lock is uncontended in the sweep
    drivers, which key every point on the calling domain before fanning
    out. The trace generation itself runs outside the lock (Trace_cache
    is already domain-safe), so a slow first digest never serializes
@@ -87,87 +87,6 @@ let run_metrics p =
   let metrics = Sim_types.Metrics.create () in
   let result = run ~metrics p in
   (result, metrics)
-
-(* -- lane batching ------------------------------------------------------------ *)
-
-let family_tag = function
-  | Single _ -> "single"
-  | Dep _ -> "dep"
-  | Buffer _ -> "buffer"
-  | Ruu _ -> "ruu"
-
-let batch_key p =
-  Printf.sprintf "%s loop=LL%d scale=%d" (family_tag p.machine) p.loop p.scale
-
-let run_batch (points : point array) =
-  if Array.length points = 0 then [||]
-  else begin
-    let p0 = points.(0) in
-    Array.iter
-      (fun p ->
-        if batch_key p <> batch_key p0 then
-          invalid_arg
-            (Printf.sprintf "Axes.run_batch: lane [%s] in a [%s] batch"
-               (batch_key p) (batch_key p0)))
-      points;
-    let trace = Livermore.trace (Livermore.scaled ~scale:p0.scale p0.loop) in
-    let module Batched = Mfu_sim.Batched in
-    match p0.machine with
-    | Single _ ->
-        let lanes =
-          Array.map
-            (fun p ->
-              match p.machine with
-              | Single org -> (p.config, org)
-              | _ -> assert false)
-            points
-        in
-        Batched.single ~lanes trace
-    | Dep _ ->
-        let lanes =
-          Array.map
-            (fun p ->
-              match p.machine with
-              | Dep scheme -> (p.config, scheme)
-              | _ -> assert false)
-            points
-        in
-        Batched.dep ~lanes trace
-    | Buffer _ ->
-        let lanes =
-          Array.map
-            (fun p ->
-              match p.machine with
-              | Buffer { policy; stations; bus } ->
-                  {
-                    Batched.b_config = p.config;
-                    b_policy = policy;
-                    b_alignment = Buffer_issue.Dynamic;
-                    b_stations = stations;
-                    b_bus = bus;
-                  }
-              | _ -> assert false)
-            points
-        in
-        Batched.buffer ~lanes trace
-    | Ruu _ ->
-        let lanes =
-          Array.map
-            (fun p ->
-              match p.machine with
-              | Ruu { issue_units; ruu_size; bus; branches } ->
-                  {
-                    Batched.r_config = p.config;
-                    r_branches = branches;
-                    r_issue_units = issue_units;
-                    r_ruu_size = ruu_size;
-                    r_bus = bus;
-                  }
-              | _ -> assert false)
-            points
-        in
-        Batched.ruu ~lanes trace
-  end
 
 (* -- surrogate ranking -------------------------------------------------------- *)
 

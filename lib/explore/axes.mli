@@ -114,21 +114,6 @@ val rank : point list -> (point * float) list
     so the order is deterministic. Calibration runs exact simulations
     (memoized process-wide); see {!Mfu_model.calibration_runs}. *)
 
-val batch_key : point -> string
-(** The grouping key for lane batching: simulator family x loop x scale.
-    Points sharing a batch key run over the same trace through the same
-    lane walker and may be handed to {!run_batch} together. *)
-
-val run_batch : point array -> Sim_types.result array
-(** Execute a homogeneous group of points as one config-batched lane
-    simulation ({!Mfu_sim.Batched}): the trace is generated and packed
-    once and every point becomes one lane of a single traversal.
-    [run_batch points] is bit-identical, per lane, to
-    [Array.map run points].
-
-    @raise Invalid_argument if the points do not all share one
-    {!batch_key}. *)
-
 (** {1 Axis specification} *)
 
 type t = {

@@ -57,15 +57,8 @@ val misses : store:Store.t -> (Axes.point * string) list -> (Axes.point * string
     computing (corrupt entries quarantine and count as missing) and the
     number quarantined. *)
 
-val batches :
-  batch:int -> (Axes.point * string) list -> (Axes.point * string) list list
-(** Group points by {!Axes.batch_key} in first-seen order and cut each
-    group into lane batches of at most [batch] — the chunking {!run}
-    hands to {!Axes.run_batch}, exposed for the serve scheduler. *)
-
 val run :
   ?jobs:int ->
-  ?batch:int ->
   ?resume:bool ->
   ?lease:Lease.t ->
   ?progress:(done_:int -> total:int -> unit) ->
@@ -82,17 +75,6 @@ val run :
     plus [eprintf] is fine). Keys (and hence traces) are prepared on
     the calling domain before fanning out. Refreshes the store manifest
     on completion.
-
-    [batch] (default 1) sets the lane width of config-batched
-    simulation: missing points are grouped by {!Axes.batch_key}
-    (simulator family x loop x scale, in first-seen order), cut into
-    groups of at most [batch] lanes, and each group runs as one
-    {!Axes.run_batch} pool job — one trace walk for up to [batch]
-    configurations. Results are bit-identical to [batch:1] (the
-    differential suite enforces this end to end, down to the store
-    bytes), and each lane is still published individually as soon as
-    its batch completes; a killed sweep loses at most the batches that
-    were mid-flight.
 
     [lease] enables multi-process draining: before computing, each
     missing key is claimed through {!Lease.try_acquire}; keys held by
@@ -131,11 +113,9 @@ val run :
     calibration runs. With [budget] the run stops launching simulations
     once the budget is spent, and with [frontier_stop] (or a spent
     budget) the returned list covers only the points that resolved — a
-    subset of the request, unlike the unguided contract. Guided runs
-    ignore [batch] (best-first order defeats lane grouping) and do not
-    compose with [lease].
+    subset of the request, unlike the unguided contract. Guided runs do
+    not compose with [lease].
 
-    @raise Invalid_argument if [batch < 1], if [guided] is combined
-    with [lease], or if the same key appears twice in the job list (the
-    deduplication contract of {!Axes.enumerate} protects concurrent
-    writers). *)
+    @raise Invalid_argument if [guided] is combined with [lease], or if
+    the same key appears twice in the job list (the deduplication
+    contract of {!Axes.enumerate} protects concurrent writers). *)

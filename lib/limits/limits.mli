@@ -78,18 +78,3 @@ val critical_path :
 (** Length in cycles of the pseudo-dataflow critical path (the denominator
     of the pseudo-dataflow limit). [metrics] instruments the walk exactly
     as in {!analyze}. *)
-
-val critical_path_batch :
-  ?metrics:Mfu_sim.Sim_types.Metrics.t option array ->
-  ?accel:bool ->
-  configs:Mfu_isa.Config.t array ->
-  Mfu_exec.Trace.t ->
-  int array
-(** Config-batched {!critical_path}: one traversal of the trace walks the
-    pseudo-dataflow graph for every configuration lane, with struct-of-
-    arrays per-lane state and an independent steady-state detector per
-    lane ({!Mfu_sim.Steady.run_batch}). Per lane, the returned path length
-    and any metrics are bit-identical to a scalar [critical_path] call
-    with the same arguments. [metrics] (default all [None]) instruments
-    lanes individually; as in the scalar path, a metrics lane always
-    walks in full. *)

@@ -22,10 +22,10 @@ val add_lease_deferred : t -> int -> unit
 val add_lease_stolen : t -> int -> unit
 val add_rejected_points : t -> int -> unit
 
-val record_compute : t -> family:string -> seconds:float -> points:int -> unit
-(** Attribute a batch's wall-clock simulation time to a loop family
-    (the Livermore kernel number, or the machine-model name for
-    cross-family batches). *)
+val record_compute : t -> family:string -> seconds:float -> unit
+(** Attribute one point's wall-clock simulation time to its family
+    label (simulator family, loop and scale, e.g.
+    ["ruu loop=LL5 scale=1"]). *)
 
 val to_json :
   t ->

@@ -46,7 +46,6 @@ type config = {
   store_dir : string;
   listen : addr;
   jobs : int option;
-  batch : int;
   max_points : int;
   lease : bool;
   lease_ttl : float;
@@ -61,7 +60,6 @@ let default_config ~store_dir ~listen =
     store_dir;
     listen;
     jobs = None;
-    batch = 8;
     max_points = 4096;
     lease = true;
     lease_ttl = 60.;
@@ -107,6 +105,18 @@ type tally = {
 let release_lease st ~key =
   match st.lease with Some l -> Lease.release l ~key | None -> ()
 
+(* The [/stats] compute-time bucket of a point: simulator family x loop
+   x scale, e.g. ["ruu loop=LL5 scale=1"]. *)
+let family_label (p : Axes.point) =
+  let family =
+    match p.Axes.machine with
+    | Axes.Single _ -> "single"
+    | Axes.Dep _ -> "dep"
+    | Axes.Buffer _ -> "buffer"
+    | Axes.Ruu _ -> "ruu"
+  in
+  Printf.sprintf "%s loop=LL%d scale=%d" family p.Axes.loop p.Axes.scale
+
 (* Simulate one point on the calling thread, publish it (store entry
    bytes identical to sweep.exe's), release any lease, and wake
    in-process waiters. On failure the claim is aborted so waiters can
@@ -115,10 +125,8 @@ let compute_single st point key =
   match
     let t0 = Unix.gettimeofday () in
     let r = Axes.run point in
-    Metrics.record_compute st.metrics
-      ~family:(Axes.batch_key point)
-      ~seconds:(Unix.gettimeofday () -. t0)
-      ~points:1;
+    Metrics.record_compute st.metrics ~family:(family_label point)
+      ~seconds:(Unix.gettimeofday () -. t0);
     Store.put ~meta:(Sweep.meta_of_point point) st.store ~key r;
     r
   with
@@ -201,15 +209,14 @@ let process st ~emit keyed =
             | Lease.Held _ -> false)
           owned
   in
-  (* Pass 4: compute what is ours as lane batches on the pool, best
+  (* Pass 4: compute what is ours on the pool, one point per job, best
      predicted machines first: the surrogate's Pareto-optimality
      ranking decides service order, so a client streaming a large
      query sees the interesting corners of the design space land
      early instead of axis-enumeration order. Ranking prices points
      from memoized calibration runs, so the reorder costs a few exact
      reference simulations on the first query per context and nothing
-     after. Each point publishes and streams the moment its batch
-     lands. *)
+     after. Each point publishes and streams the moment it lands. *)
   let mine =
     if st.cfg.guided && List.compare_length_with mine 1 > 0 then begin
       let order = Hashtbl.create (List.length mine) in
@@ -223,52 +230,21 @@ let process st ~emit keyed =
     end
     else mine
   in
-  let batches = Sweep.batches ~batch:st.cfg.batch mine in
   (match
      Pool.try_map ?jobs:st.cfg.jobs
-       (fun group ->
-         let arr = Array.of_list group in
-         let t0 = Unix.gettimeofday () in
-         let results = Axes.run_batch (Array.map fst arr) in
-         Metrics.record_compute st.metrics
-           ~family:(Axes.batch_key (fst arr.(0)))
-           ~seconds:(Unix.gettimeofday () -. t0)
-           ~points:(Array.length arr);
-         Array.iteri
-           (fun i (p, k) ->
-             Store.put ~meta:(Sweep.meta_of_point p) st.store ~key:k
-               results.(i);
-             release_lease st ~key:k;
-             Inflight.publish st.inflight ~key:k;
-             emit_point p k results.(i) Protocol.Computed)
-           arr;
-         Array.length arr)
-       batches
+       (fun (p, k) -> emit_point p k (compute_single st p k) Protocol.Computed)
+       mine
    with
   | results ->
       List.iter2
-        (fun group result ->
+        (fun (p, k) result ->
           match result with
-          | Ok n -> tally.computed <- tally.computed + n
+          | Ok () -> tally.computed <- tally.computed + 1
           | Error e ->
-              (* The whole batch failed before publishing anything (a
-                 partially published batch aborts retired flights,
-                 which is a no-op). Let waiters take over, and tell
-                 this client which points it lost. *)
-              let reason =
-                "batch computation failed: " ^ Printexc.to_string e
-              in
-              List.iter
-                (fun (p, k) ->
-                  release_lease st ~key:k;
-                  Inflight.abort st.inflight ~key:k;
-                  (* Points the batch published (and streamed) before
-                     failing are settled, not lost. *)
-                  match Store.lookup st.store ~key:k with
-                  | `Hit _ -> tally.computed <- tally.computed + 1
-                  | `Miss | `Corrupt -> emit_abort p k reason)
-                group)
-        batches results
+              (* [compute_single] already let waiters take over; tell
+                 this client which point it lost. *)
+              emit_abort p k ("computation failed: " ^ Printexc.to_string e))
+        mine results
   | exception Pool.Draining ->
       List.iter
         (fun (p, k) ->

@@ -19,9 +19,8 @@
 
     Scheduling: per query, store hits stream immediately; misses are
     claimed in the {!Inflight} table (one owner computes, concurrent
-    requesters wait and are counted as dedups), owned points are
-    chunked into lane batches ({!Mfu_explore.Sweep.batches}) and run on
-    the {!Mfu_util.Pool} domains, and every computed result is
+    requesters wait and are counted as dedups), owned points run one
+    per job on the {!Mfu_util.Pool} domains, and every computed result is
     published to the store with {!Mfu_explore.Sweep.meta_of_point} —
     byte-identical to what [sweep.exe] writes — before waiters are
     woken. With leases enabled, keys owned by another process settle by
@@ -47,7 +46,6 @@ type config = {
   store_dir : string;
   listen : addr;
   jobs : int option;  (** pool workers; [None] = pool default *)
-  batch : int;  (** lane width handed to {!Mfu_explore.Axes.run_batch} *)
   max_points : int;  (** admission cap per query *)
   lease : bool;  (** cross-process work claims next to the store *)
   lease_ttl : float;
@@ -67,9 +65,9 @@ type config = {
 }
 
 val default_config : store_dir:string -> listen:addr -> config
-(** [batch = 8], [max_points = 4096], [lease = true],
-    [lease_ttl = 60.], [request_timeout = 30.],
-    [queue_capacity = 256], [guided = true], [cache_entries = 8192]. *)
+(** [max_points = 4096], [lease = true], [lease_ttl = 60.],
+    [request_timeout = 30.], [queue_capacity = 256], [guided = true],
+    [cache_entries = 8192]. *)
 
 type t
 

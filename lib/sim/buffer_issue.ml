@@ -658,12 +658,9 @@ module Fast = struct
   let all_issued st = all_issued_from st st.base
 end
 
-(* One lane of the cycle-stepped machine: the [Fast] state plus its own
-   clock, probe, and progress guard. The scalar fast path is a driver
-   stepped in a plain loop; the batched walker steps N drivers off a
-   shared min-wake event wheel — each driver only ever advances its own
-   [d_t] by the scalar rules, so its cycle sequence is exactly the scalar
-   run's regardless of how the wheel interleaves lanes. *)
+(* The cycle-stepped machine: the [Fast] state plus its clock, probe, and
+   progress guard. The fast path steps it one cycle (or one wake jump) at
+   a time until the trace is issued. *)
 type driver = {
   st : Fast.state;
   d_policy : policy;
@@ -804,65 +801,6 @@ let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
     driver_cycle d
   done;
   driver_result d
-
-(* -- batched lanes -----------------------------------------------------------
-   N lane drivers over one time-blocked traversal. Lanes never interact,
-   so each live lane is stepped through a whole [batch_block]-cycle
-   horizon at a time — its scalar cycle sequence verbatim, including its
-   own wake jumps — rather than interleaving lanes cycle by cycle off a
-   min-wake scan. The shared horizon (minimum live clock plus the block)
-   keeps lanes loosely in step over the shared packed trace. *)
-
-module Bitset = Mfu_util.Bitset
-
-let batch_block = 4096
-
-let simulate_batch ~metrics ~probes ~(detected : Bitset.t) ~lanes
-    (p : Packed.t) =
-  let nl = Array.length lanes in
-  let drivers =
-    Array.mapi
-      (fun l (config, policy, alignment, stations, bus) ->
-        if stations < 1 then
-          invalid_arg "Buffer_issue.simulate_batch: stations < 1";
-        make_driver ?metrics:metrics.(l) ?probe:probes.(l) ~alignment ~config
-          ~policy ~stations ~bus p)
-      lanes
-  in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let results = Array.make nl { Sim_types.cycles = 0; instructions = 0 } in
-  while !nact > 0 do
-    let t = ref max_int in
-    for k = 0 to !nact - 1 do
-      let d = drivers.(act.(k)) in
-      if d.d_t < !t then t := d.d_t
-    done;
-    let horizon = !t + batch_block in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      let d = drivers.(l) in
-      let stop = ref false in
-      while (not !stop) && (not (driver_done d)) && d.d_t < horizon do
-        driver_cycle d;
-        if Bitset.mem detected l then stop := true
-      done;
-      if !stop then begin
-        (* the lane's probe found a steady-state repeat: retire it; the
-           orchestrator re-simulates its splice *)
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else if driver_done d then begin
-        results.(l) <- driver_result d;
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done
-  done;
-  results
 
 let simulate ?metrics ?(alignment = Dynamic) ?(reference = false)
     ?(accel = true) ~config ~policy ~stations ~bus (trace : Trace.t) =

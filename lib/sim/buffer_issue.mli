@@ -73,34 +73,3 @@ val simulate :
     [accel] (default [true]) enables exact steady-state fast-forward
     ({!Steady}) on the fast path; results and metrics are bit-identical
     either way. Ignored with [reference]. *)
-
-val simulate_batch :
-  metrics:Sim_types.Metrics.t option array ->
-  probes:Steady.probe option array ->
-  detected:Mfu_util.Bitset.t ->
-  lanes:
-    (Mfu_isa.Config.t * policy * alignment * int * Sim_types.bus_model) array ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result array
-(** Lane-batched walk: one driver per
-    [(config, policy, alignment, stations, bus)] lane, all stepped off a
-    shared event wheel keyed on the minimum next cycle across lanes. Each
-    lane advances its own clock by the scalar rules (including wake
-    jumps), so per lane the run is bit-identical to [simulate_packed].
-    The raw walker behind {!Steady.run_batch} — use {!Batched.buffer} for
-    the public batched entry point. See {!Single_issue.simulate_batch}
-    for the probe/[detected] contract.
-    @raise Invalid_argument on a lane with [stations < 1]. *)
-
-val simulate_packed :
-  ?metrics:Sim_types.Metrics.t ->
-  ?probe:Steady.probe ->
-  alignment:alignment ->
-  config:Mfu_isa.Config.t ->
-  policy:policy ->
-  stations:int ->
-  bus:Sim_types.bus_model ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result
-(** The packed fast path itself — one scalar walk, no steady-state
-    driver. Exposed for {!Batched}; prefer {!simulate}. *)

@@ -285,199 +285,3 @@ let simulate ?metrics ?(reference = false) ?(accel = true) ~config scheme
     Steady.run ?metrics trace (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~config scheme p)
   else simulate_packed ?metrics ~config scheme (Packed.cached trace)
-
-
-(* -- batched lanes -----------------------------------------------------------
-   N (config, scheme) lanes over one block-tiled traversal: lanes advance
-   in lock-step at block granularity (all lanes finish entries
-   [b0, b0+block) before any lane sees b0+block), and within a block each
-   lane runs the [simulate_packed] body with its state hoisted into
-   locals — so the per-entry cost matches the scalar fast path and the
-   packed block stays cache-hot across lanes. Lanes never interact, so
-   per lane the run is bit-identical to a scalar run. *)
-
-let batch_block = 4096
-
-let simulate_batch ~metrics ~probes ~(detected : Bitset.t) ~lanes
-    (p : Packed.t) =
-  let nl = Array.length lanes in
-  let n = p.Packed.n in
-  let rc = Reg.count in
-  let shared = Packed.shared_unit in
-  let ready = Array.make (nl * rc) 0 in
-  let lats = Array.map (fun (config, _) -> Packed.latency_table config) lanes in
-  let branch_times =
-    Array.map (fun (config, _) -> Config.branch_time config) lanes
-  in
-  let tomasulos = Array.map (fun (_, scheme) -> scheme = Tomasulo) lanes in
-  let fu_useds = Array.init nl (fun _ -> Bitset.create 4096) in
-  let cdb_useds = Array.init nl (fun _ -> Bitset.create 4096) in
-  let mem_readys = Array.init nl (fun _ -> Int_table.create 256) in
-  let issue_frees = Array.make nl 0 in
-  let finishes = Array.make nl 0 in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let results = Array.make nl { Sim_types.cycles = 0; instructions = 0 } in
-  (* Run lane [l] over entries [b0, b1). Returns [true] if the lane's
-     steady-state detector fired a match inside the block: the lane must
-     retire without processing the boundary entry, exactly as the scalar
-     path stops out of the probe. *)
-  let run_block l b0 b1 =
-    let base = l * rc in
-    let lat = lats.(l) in
-    let branch_time = branch_times.(l) in
-    let tomasulo = tomasulos.(l) in
-    let fu_used = fu_useds.(l) in
-    let cdb_used = cdb_useds.(l) in
-    let mem_ready = mem_readys.(l) in
-    let metrics = metrics.(l) in
-    let probe = probes.(l) in
-    let issue_free = ref issue_frees.(l) in
-    let finish = ref finishes.(l) in
-    let srcs_ready i =
-      let acc = ref 0 in
-      for s = p.Packed.src_off.(i) to p.Packed.src_off.(i + 1) - 1 do
-        let r = ready.(base + Array.unsafe_get p.Packed.src_idx s) in
-        if r > !acc then acc := r
-      done;
-      !acc
-    in
-    (* Same push order as the scalar fingerprint. *)
-    let fingerprint pr i now =
-      let fp = ref [] in
-      let push v = fp := v :: !fp in
-      let horizon = if !finish > now then !finish - now else 0 in
-      push horizon;
-      for c = now to now + horizon do
-        let mask = ref 0 in
-        for u = 0 to 15 do
-          if Bitset.mem fu_used ((c * 16) + u) then mask := !mask lor (1 lsl u)
-        done;
-        push !mask;
-        push (if Bitset.mem cdb_used c then 1 else 0)
-      done;
-      let live = ref [] in
-      Int_table.iter
-        (fun addr v ->
-          if v > now then live := (addr - pr.Steady.addr_off, v - now) :: !live)
-        mem_ready;
-      let live = List.sort compare !live in
-      push (List.length live);
-      List.iter
-        (fun (a, v) ->
-          push a;
-          push v)
-        live;
-      for r = 0 to rc - 1 do
-        let v = ready.(base + r) in
-        push (if v > now then v - now else 0)
-      done;
-      pr.Steady.fire ~pos:i ~time:now ~fp:!fp
-    in
-    let stop = ref false in
-    let i = ref b0 in
-    while (not !stop) && !i < b1 do
-      (match probe with
-      | Some pr when !i = pr.Steady.next_pos ->
-          fingerprint pr !i !issue_free;
-          if Bitset.mem detected l then stop := true
-      | _ -> ());
-      if not !stop then begin
-        let idx = !i in
-        let fu = Array.unsafe_get p.Packed.fu idx in
-        let kind = Char.code (Bytes.unsafe_get p.Packed.kind idx) in
-        let parcels = Array.unsafe_get p.Packed.parcels idx in
-        let dest = Array.unsafe_get p.Packed.dest idx in
-        if kind >= Packed.kind_taken then begin
-          let t = max !issue_free (srcs_ready idx) in
-          let resolution = t + branch_time in
-          (match metrics with
-          | Some m ->
-              Metrics.record_stall m Metrics.Raw (t - !issue_free);
-              Metrics.record_issue m 1;
-              Metrics.record_stall m Metrics.Branch (branch_time - 1);
-              Metrics.record_instructions m 1
-          | None -> ());
-          issue_free := resolution;
-          if resolution > !finish then finish := resolution
-        end
-        else begin
-          let t =
-            if tomasulo then !issue_free
-            else if dest >= 0 then max !issue_free ready.(base + dest)
-            else !issue_free
-          in
-          (match metrics with
-          | Some m ->
-              Metrics.record_stall m Metrics.Waw (t - !issue_free);
-              Metrics.record_issue m parcels;
-              Metrics.record_instructions m 1;
-              if shared.(fu) then Metrics.record_fu_busy m (Fu.of_index fu) 1
-          | None -> ());
-          let operands = srcs_ready idx in
-          let mem_dep =
-            if kind = Packed.kind_load || kind = Packed.kind_store then
-              Int_table.find mem_ready ~default:0
-                (Array.unsafe_get p.Packed.addr idx)
-            else 0
-          in
-          let start = max t (max operands mem_dep) in
-          let start =
-            if not shared.(fu) then start
-            else begin
-              let c = ref start in
-              while Bitset.mem fu_used ((!c * 16) + fu) do
-                incr c
-              done;
-              Bitset.set fu_used ((!c * 16) + fu);
-              !c
-            end
-          in
-          let completion =
-            if tomasulo && dest >= 0 then begin
-              let c = ref (start + Array.unsafe_get lat fu) in
-              while Bitset.mem cdb_used !c do
-                incr c
-              done;
-              Bitset.set cdb_used !c;
-              !c
-            end
-            else start + Array.unsafe_get lat fu
-          in
-          if dest >= 0 then ready.(base + dest) <- completion;
-          if kind = Packed.kind_store then
-            Int_table.set mem_ready (Array.unsafe_get p.Packed.addr idx)
-              completion;
-          issue_free := t + parcels;
-          if completion > !finish then finish := completion
-        end;
-        incr i
-      end
-    done;
-    issue_frees.(l) <- !issue_free;
-    finishes.(l) <- !finish;
-    !stop
-  in
-  let b0 = ref 0 in
-  while !b0 < n && !nact > 0 do
-    let b1 = min n (!b0 + batch_block) in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      if run_block l !b0 b1 then begin
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done;
-    b0 := b1
-  done;
-  for k = 0 to !nact - 1 do
-    let l = act.(k) in
-    let cycles = max finishes.(l) issue_frees.(l) in
-    (match metrics.(l) with
-    | Some m -> Metrics.record_stall m Metrics.Drain (cycles - issue_frees.(l))
-    | None -> ());
-    results.(l) <- { Sim_types.cycles; instructions = n }
-  done;
-  results

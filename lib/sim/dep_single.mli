@@ -50,26 +50,3 @@ val simulate :
     [accel] (default [true]) enables exact steady-state fast-forward
     ({!Steady}) on the fast path; results and metrics are bit-identical
     either way. Ignored with [reference]. *)
-
-val simulate_batch :
-  metrics:Sim_types.Metrics.t option array ->
-  probes:Steady.probe option array ->
-  detected:Mfu_util.Bitset.t ->
-  lanes:(Mfu_isa.Config.t * scheme) array ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result array
-(** Lock-step lane walk over one traversal of the packed trace; per lane,
-    bit-identical to [simulate_packed]. The raw walker behind
-    {!Steady.run_batch} — use {!Batched.dep} for the public batched entry
-    point. See {!Single_issue.simulate_batch} for the probe/[detected]
-    contract. *)
-
-val simulate_packed :
-  ?metrics:Sim_types.Metrics.t ->
-  ?probe:Steady.probe ->
-  config:Mfu_isa.Config.t ->
-  scheme ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result
-(** The packed fast path itself — one scalar walk, no steady-state
-    driver. Exposed for {!Batched}; prefer {!simulate}. *)

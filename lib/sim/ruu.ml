@@ -811,9 +811,8 @@ end
 
 let rec pow2_at_least n = if n <= 1 then 1 else 2 * pow2_at_least ((n + 1) / 2)
 
-(* One lane of the cycle-stepped machine: the [Fast] state plus its own
-   clock, probe, and progress guard, so the scalar loop and the batched
-   min-wake wheel step the same code. See {!Buffer_issue.driver}. *)
+(* The cycle-stepped machine: the [Fast] state plus its clock, probe, and
+   progress guard. See {!Buffer_issue.driver}. *)
 type driver = {
   st : Fast.state;
   d_probe : Steady.probe option;
@@ -1029,71 +1028,6 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
     driver_cycle d
   done;
   driver_result d
-
-(* -- batched lanes -----------------------------------------------------------
-   N lane drivers over one time-blocked traversal. Lanes never interact,
-   so each live lane is stepped through a whole [batch_block]-cycle
-   horizon at a time — its scalar cycle sequence verbatim, including its
-   own event skips — so per lane the run is bit-identical to
-   [simulate_packed]. The shared horizon (minimum live clock plus the
-   block) keeps lanes loosely in step over the shared packed trace. *)
-
-module Bitset = Mfu_util.Bitset
-
-let batch_block = 4096
-
-let simulate_batch ~metrics ~probes ~(detected : Bitset.t) ~lanes
-    (p : Packed.t) =
-  let nl = Array.length lanes in
-  let drivers =
-    Array.mapi
-      (fun l (config, branches, issue_units, ruu_size, bus) ->
-        if issue_units < 1 then
-          invalid_arg "Ruu.simulate_batch: issue_units < 1";
-        if ruu_size < issue_units then
-          invalid_arg "Ruu.simulate_batch: ruu_size too small";
-        (match branches with
-        | Bimodal n when n < 1 ->
-            invalid_arg "Ruu.simulate_batch: bimodal table size < 1"
-        | _ -> ());
-        make_driver ?metrics:metrics.(l) ?probe:probes.(l) ~branches ~config
-          ~issue_units ~ruu_size ~bus p)
-      lanes
-  in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let results = Array.make nl { Sim_types.cycles = 0; instructions = 0 } in
-  while !nact > 0 do
-    let t = ref max_int in
-    for k = 0 to !nact - 1 do
-      let d = drivers.(act.(k)) in
-      if d.d_t < !t then t := d.d_t
-    done;
-    let horizon = !t + batch_block in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      let d = drivers.(l) in
-      let stop = ref false in
-      while (not !stop) && (not (driver_done d)) && d.d_t < horizon do
-        driver_cycle d;
-        if Bitset.mem detected l then stop := true
-      done;
-      if !stop then begin
-        (* the lane's probe found a steady-state repeat: retire it; the
-           orchestrator re-simulates its splice *)
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else if driver_done d then begin
-        results.(l) <- driver_result d;
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done
-  done;
-  results
 
 let simulate ?metrics ?(branches = Stall) ?(reference = false) ?(accel = true)
     ~config ~issue_units ~ruu_size ~bus (trace : Trace.t) =

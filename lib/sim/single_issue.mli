@@ -61,32 +61,3 @@ val simulate :
     Acceleration engages only under the [Ideal] memory model ([Banked]
     bank residues are not invariant under the address translation the
     telescoping uses) and is ignored with [reference]. *)
-
-val simulate_batch :
-  metrics:Sim_types.Metrics.t option array ->
-  probes:Steady.probe option array ->
-  detected:Mfu_util.Bitset.t ->
-  ?memory:Memory_system.t ->
-  lanes:(Mfu_isa.Config.t * organization) array ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result array
-(** Lock-step lane walk: one traversal of the packed trace simulating
-    every [(config, organization)] lane with struct-of-arrays per-lane
-    state. Per lane, results and metrics are bit-identical to
-    [simulate_packed] — the raw walker behind {!Steady.run_batch}; use
-    {!Batched.single} for the public batched entry point. [probes.(l)]
-    is fed exactly as the scalar fast path feeds its probe; a lane whose
-    bit appears in [detected] after a fire is retired without processing
-    the boundary entry (its result slot is left meaningless). *)
-
-val simulate_packed :
-  ?metrics:Sim_types.Metrics.t ->
-  ?probe:Steady.probe ->
-  memory:Memory_system.t ->
-  config:Mfu_isa.Config.t ->
-  organization ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result
-(** The packed fast path itself — one scalar walk, no steady-state
-    driver. Exposed for {!Batched}, which re-simulates a telescoped
-    lane's splice trace through it; prefer {!simulate}. *)

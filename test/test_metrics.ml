@@ -11,7 +11,8 @@
       view.
 
    Both are checked on hand-built corner-case traces, the small Livermore
-   loops, and QCheck-random traces. *)
+   loops, long Livermore loops whose runs telescope, and QCheck-random
+   traces. *)
 
 module Reg = Mfu_isa.Reg
 module Fu = Mfu_isa.Fu
@@ -24,6 +25,7 @@ module Dep = Mfu_sim.Dep_single
 module Memory_system = Mfu_sim.Memory_system
 module Sim_types = Mfu_sim.Sim_types
 module Metrics = Sim_types.Metrics
+module Steady = Mfu_sim.Steady
 module Limits = Mfu_limits.Limits
 module Livermore = Mfu_loops.Livermore
 
@@ -255,6 +257,30 @@ let test_instruction_counts () =
         (Array.length trace) m.instructions)
     (runners Config.m11br5)
 
+(* Long loops, where the default runs telescope whole periods in closed
+   form and scale every counter: the telescoped metrics must still
+   conserve cycles, and still leave the results untouched. *)
+let long_loops =
+  lazy
+    [
+      ("livermore-1/400", Livermore.trace (Livermore.loop1 ~n:400 ()));
+      ("livermore-12/400", Livermore.trace (Livermore.loop12 ~n:400 ()));
+    ]
+
+let long_loop_runners = runners Config.m11br5 @ runners (List.nth Config.all 3)
+
+let check_telescoped check =
+  Steady.reset_stats ();
+  List.iter
+    (fun (ctx, trace) ->
+      List.iter (fun r -> check ~ctx r trace) long_loop_runners)
+    (Lazy.force long_loops);
+  if (Steady.stats ()).Steady.telescoped = 0 then
+    Alcotest.fail "no long-loop run telescoped"
+
+let test_conservation_telescoped () = check_telescoped check_conserved
+let test_unchanged_telescoped () = check_telescoped check_unchanged
+
 (* -- random traces (same generator family as test_cross_sim) ---------------- *)
 
 let entry_gen =
@@ -330,11 +356,15 @@ let () =
           Alcotest.test_case "instruction counts" `Quick
             test_instruction_counts;
           QCheck_alcotest.to_alcotest prop_conserved;
+          Alcotest.test_case "telescoped long loops" `Quick
+            test_conservation_telescoped;
         ] );
       ( "non-interference",
         [
           Alcotest.test_case "fixed traces, full matrix" `Quick
             test_unchanged_fixed;
           QCheck_alcotest.to_alcotest prop_unchanged;
+          Alcotest.test_case "telescoped long loops" `Quick
+            test_unchanged_telescoped;
         ] );
     ]

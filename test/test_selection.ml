@@ -1,6 +1,6 @@
 module Selection = Mfu_util.Selection
 
-let valid = [ "single_issue"; "dep_single"; "dep_single/batched" ]
+let valid = [ "single_issue"; "dep_single"; "ruu/scaled" ]
 
 let result =
   Alcotest.result (Alcotest.list Alcotest.string) Alcotest.string
@@ -17,8 +17,8 @@ let test_many () =
 
 let test_trims () =
   check "whitespace trimmed"
-    (Ok [ "single_issue"; "dep_single/batched" ])
-    " single_issue , dep_single/batched "
+    (Ok [ "single_issue"; "ruu/scaled" ])
+    " single_issue , ruu/scaled "
 
 let test_duplicates () =
   check "duplicates preserved"

@@ -3,8 +3,9 @@
    every metrics counter — to the un-accelerated packed fast path (and,
    transitively via test_packed, to the [~reference:true] oracles), on
    synthetic periodic traces, the Livermore loops, and QCheck-random
-   loop shapes; and it must actually engage (telescope) on loop traces
-   long enough to be worth skipping. *)
+   loop shapes, across the machine sizes the sweeps visit; it must
+   actually engage (telescope) on loop traces long enough to be worth
+   skipping; and runs must not influence one another. *)
 
 module Reg = Mfu_isa.Reg
 module Config = Mfu_isa.Config
@@ -320,6 +321,12 @@ let test_telescoping_engages_everywhere () =
         Alcotest.failf "%s did not telescope (tele=%d fb=%d aper=%d)" name
           s.Steady.telescoped s.fallback s.aperiodic)
     [
+      ( "single_issue Simple",
+        fun t -> (Si.simulate ~config Si.Simple t).Sim_types.cycles );
+      ( "single_issue SerialMemory",
+        fun t -> (Si.simulate ~config Si.Serial_memory t).Sim_types.cycles );
+      ( "single_issue NonSegmented",
+        fun t -> (Si.simulate ~config Si.Non_segmented t).Sim_types.cycles );
       ( "single_issue",
         fun t -> (Si.simulate ~config Si.Cray_like t).Sim_types.cycles );
       ( "dep_single",
@@ -472,6 +479,215 @@ let test_random_loops =
         random_runners;
       true)
 
+(* -- machine sizes ------------------------------------------------------------ *)
+
+(* The matrix above fixes 8 stations and a 16-entry, 4-unit RUU. These
+   runners span the sizes the sweeps visit: 1- to 16-station buffers,
+   1-entry to 64-entry RUUs with 1 to 16 issue units, every bus, and the
+   limits walk on the two middle machine variants. *)
+let cfg_b = List.nth Config.all 3
+
+let buffer_runner ~config ~policy ~alignment ~stations ~bus =
+  {
+    rname =
+      Printf.sprintf "%s/buffer:%s/%d/%s/%s" (Config.name config)
+        (Bi.policy_to_string policy) stations (Sim_types.bus_model_to_string bus)
+        (Bi.alignment_to_string alignment);
+    run =
+      (fun ?metrics ~accel t ->
+        Bi.simulate ?metrics ~alignment ~accel ~config ~policy ~stations ~bus t);
+  }
+
+let ruu_runner ~config ~branches ~issue_units ~ruu_size ~bus =
+  {
+    rname =
+      Printf.sprintf "%s/ruu:%d/%d/%s/%s" (Config.name config) ruu_size
+        issue_units (Sim_types.bus_model_to_string bus)
+        (Ruu.branch_handling_to_string branches);
+    run =
+      (fun ?metrics ~accel t ->
+        Ruu.simulate ?metrics ~branches ~accel ~config ~issue_units ~ruu_size
+          ~bus t);
+  }
+
+let weak_ruu =
+  ruu_runner ~config:Config.m11br5 ~branches:Ruu.Stall ~issue_units:1
+    ~ruu_size:1 ~bus:Sim_types.One_bus
+
+let strong_ruu =
+  ruu_runner ~config:Config.m11br5 ~branches:Ruu.Stall ~issue_units:16
+    ~ruu_size:64 ~bus:Sim_types.X_bar
+
+let sized_runners =
+  let a = Config.m11br5 in
+  [
+    buffer_runner ~config:a ~policy:Bi.In_order ~alignment:Bi.Dynamic
+      ~stations:1 ~bus:Sim_types.N_bus;
+    buffer_runner ~config:cfg_b ~policy:Bi.Out_of_order ~alignment:Bi.Dynamic
+      ~stations:2 ~bus:Sim_types.X_bar;
+    buffer_runner ~config:a ~policy:Bi.Out_of_order ~alignment:Bi.Static
+      ~stations:4 ~bus:Sim_types.N_bus;
+    buffer_runner ~config:a ~policy:Bi.Out_of_order ~alignment:Bi.Dynamic
+      ~stations:16 ~bus:Sim_types.N_bus;
+    weak_ruu;
+    ruu_runner ~config:a ~branches:Ruu.Stall ~issue_units:1 ~ruu_size:4
+      ~bus:Sim_types.N_bus;
+    ruu_runner ~config:a ~branches:Ruu.Oracle ~issue_units:2 ~ruu_size:8
+      ~bus:Sim_types.X_bar;
+    ruu_runner ~config:cfg_b ~branches:(Ruu.Bimodal 4) ~issue_units:8
+      ~ruu_size:32 ~bus:Sim_types.N_bus;
+    strong_ruu;
+  ]
+  @ List.map
+      (fun config ->
+        {
+          rname = Config.name config ^ "/limits:critical-path";
+          run =
+            (fun ?metrics ~accel t ->
+              {
+                Sim_types.cycles = Limits.critical_path ?metrics ~accel ~config t;
+                instructions = Array.length t;
+              });
+        })
+      [ List.nth Config.all 1; List.nth Config.all 2 ]
+
+let test_differential_sizes () =
+  List.iter
+    (fun (ctx, trace) ->
+      List.iter (fun r -> check_differential ~ctx r trace) sized_runners)
+    (Lazy.force synthetic_traces)
+
+let test_differential_sizes_livermore () =
+  List.iter
+    (fun (ctx, loop) ->
+      let trace = Livermore.trace loop in
+      List.iter (fun r -> check_differential ~ctx r trace) sized_runners)
+    [
+      ("livermore-1", Livermore.loop1 ~n:400 ());
+      ("livermore-5", Livermore.loop5 ~n:400 ());
+      ("livermore-12", Livermore.loop12 ~n:400 ());
+    ]
+
+(* Every machine size telescopes the long register-only loop except the
+   32- and 64-entry RUUs with 8 and 16 issue units: their state does not
+   repeat within the probe budget on this loop, so those runs complete in
+   full (still exact, only not faster). *)
+let test_telescoping_engages_sizes () =
+  let t = loop_trace ~prologue:prologue3 ~periods:400 ~stride:0 regonly_body in
+  let full_runs =
+    [ "M5BR2/ruu:32/8/N-Bus/bimodal(4)"; "M11BR5/ruu:64/16/X-Bar/stall" ]
+  in
+  List.iter
+    (fun r ->
+      Steady.reset_stats ();
+      let _ = r.run ~accel:true t in
+      let s = Steady.stats () in
+      let expect = if List.mem r.rname full_runs then (0, 1) else (1, 0) in
+      if (s.Steady.telescoped, s.fallback) <> expect || s.aperiodic <> 0 then
+        Alcotest.failf "%s: tele=%d fb=%d aper=%d, expected tele=%d fb=%d"
+          r.rname s.Steady.telescoped s.fallback s.aperiodic (fst expect)
+          (snd expect))
+    sized_runners
+
+let test_random_sizes =
+  QCheck.Test.make
+    ~name:"accelerated == full across machine sizes on random loop traces"
+    ~count:30 arbitrary_loop (fun trace ->
+      List.iter
+        (fun r -> check_differential ~ctx:"random loop" r trace)
+        sized_runners;
+      true)
+
+(* -- degenerate traces and run accounting ----------------------------------- *)
+
+let test_empty_trace () =
+  let t = Tracegen.of_list [] in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun accel ->
+          let res = r.run ~accel t in
+          if res <> { Sim_types.cycles = 0; instructions = 0 } then
+            Alcotest.failf "%s (accel=%b): %d cycles / %d instrs on empty trace"
+              r.rname accel res.Sim_types.cycles res.instructions)
+        [ true; false ])
+    (runners Config.m11br5 @ sized_runners)
+
+(* Every accelerated run is classified exactly once (telescoped, fallback
+   or aperiodic); unaccelerated runs bypass the steady driver entirely. *)
+let test_stats_one_outcome_per_run () =
+  let rs = runners Config.m11br5 @ sized_runners in
+  let traces = Lazy.force synthetic_traces in
+  Steady.reset_stats ();
+  List.iter
+    (fun (_, t) -> List.iter (fun r -> ignore (r.run ~accel:false t)) rs)
+    traces;
+  let s = Steady.stats () in
+  Alcotest.(check int)
+    "unaccelerated runs counted" 0
+    (s.Steady.telescoped + s.fallback + s.aperiodic);
+  List.iter
+    (fun (_, t) -> List.iter (fun r -> ignore (r.run ~accel:true t)) rs)
+    traces;
+  let s = Steady.stats () in
+  Alcotest.(check int)
+    "one outcome per accelerated run"
+    (List.length rs * List.length traces)
+    (s.Steady.telescoped + s.fallback + s.aperiodic)
+
+(* -- isolation between runs -------------------------------------------------- *)
+
+(* A weak machine and a strong one finish thousands of cycles apart on the
+   same trace; running one must leave nothing behind (caches, probe or
+   detector state) that changes the other's result or metrics. *)
+let test_runs_finish_apart () =
+  let t =
+    loop_trace ~prologue:prologue3 ~epilogue:epilogue2 ~periods:200 ~stride:8
+      strided_body
+  in
+  let simple ?metrics ~accel t =
+    Si.simulate ?metrics ~accel ~config:Config.m11br5 Si.Simple t
+  and cray ?metrics ~accel t =
+    Si.simulate ?metrics ~accel ~config:Config.m11br5 Si.Cray_like t
+  in
+  let m_simple = Metrics.create () and m_cray = Metrics.create () in
+  let r_simple = simple ~metrics:m_simple ~accel:true t in
+  let r_cray = cray ~metrics:m_cray ~accel:true t in
+  if r_simple.Sim_types.cycles <= r_cray.Sim_types.cycles then
+    Alcotest.fail "Simple should be much slower than CRAY-like";
+  List.iter
+    (fun (name, m) ->
+      if not (Metrics.conserved m) then
+        Alcotest.failf "%s metrics not conserved" name)
+    [ ("Simple", m_simple); ("CRAY-like", m_cray) ];
+  let m_cray' = Metrics.create () and m_simple' = Metrics.create () in
+  let r_cray' = cray ~metrics:m_cray' ~accel:false t in
+  let r_simple' = simple ~metrics:m_simple' ~accel:false t in
+  if r_simple <> r_simple' || r_cray <> r_cray' then
+    Alcotest.fail "results depend on run order or acceleration";
+  check_metrics ~where:"Simple" m_simple m_simple';
+  check_metrics ~where:"CRAY-like" m_cray m_cray'
+
+let test_random_run_order =
+  QCheck.Test.make ~name:"1-unit and 16-unit RUU runs never interfere"
+    ~count:30 arbitrary_loop (fun trace ->
+      let alone r = r.run ~accel:true trace in
+      let weak = alone weak_ruu in
+      let strong = alone strong_ruu in
+      List.iter
+        (fun order ->
+          List.iter
+            (fun (r, expect) ->
+              if alone r <> expect then
+                Alcotest.failf "%s changed after another run" r.rname)
+            order)
+        [
+          [ (strong_ruu, strong); (weak_ruu, weak) ];
+          [ (weak_ruu, weak); (strong_ruu, strong) ];
+        ];
+      weak.Sim_types.instructions = Array.length trace
+      && strong.Sim_types.instructions = Array.length trace)
+
 let () =
   Alcotest.run "steady"
     [
@@ -496,5 +712,27 @@ let () =
             test_instructions_preserved;
         ] );
       ( "random",
-        [ QCheck_alcotest.to_alcotest ~long:false test_random_loops ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:false test_random_loops;
+          QCheck_alcotest.to_alcotest ~long:false test_random_sizes;
+        ] );
+      ( "sizes",
+        [
+          Alcotest.test_case "synthetic" `Quick test_differential_sizes;
+          Alcotest.test_case "livermore" `Slow
+            test_differential_sizes_livermore;
+          Alcotest.test_case "telescoping engages" `Quick
+            test_telescoping_engages_sizes;
+        ] );
+      ( "degenerate",
+        [
+          Alcotest.test_case "empty trace" `Quick test_empty_trace;
+          Alcotest.test_case "one outcome per run" `Quick
+            test_stats_one_outcome_per_run;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "runs finish apart" `Quick test_runs_finish_apart;
+          QCheck_alcotest.to_alcotest ~long:false test_random_run_order;
+        ] );
     ]
